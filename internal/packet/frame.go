@@ -3,6 +3,7 @@ package packet
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // FCSLen is the Ethernet frame check sequence length. FrameLen includes
@@ -22,12 +23,17 @@ const MinDataFrameLen = EthernetHeaderLen + IPv4HeaderLen + UDPHeaderLen + TagSi
 // packets are plain TCP segments; invalid packets carry a non-matching
 // trailer so receivers can discard them, mirroring MoonGen's filler
 // frames.
-func (p *Packet) Frame() ([]byte, error) {
+func (p *Packet) Frame() ([]byte, error) { return p.AppendFrame(nil) }
+
+// AppendFrame appends the frame to dst, so a writer emitting many
+// packets reuses one buffer. On error dst is returned unchanged.
+func (p *Packet) AppendFrame(dst []byte) ([]byte, error) {
 	if p.FrameLen < MinDataFrameLen {
-		return nil, fmt.Errorf("packet: frame length %d below minimum %d", p.FrameLen, MinDataFrameLen)
+		return dst, fmt.Errorf("packet: frame length %d below minimum %d", p.FrameLen, MinDataFrameLen)
 	}
 	capLen := p.FrameLen - FCSLen
-	buf := make([]byte, 0, capLen)
+	start := len(dst)
+	buf := slices.Grow(dst, capLen)
 
 	eth := EthernetHeader{
 		Dst:       macFromIP(p.Flow.Dst),
@@ -72,13 +78,13 @@ func (p *Packet) Frame() ([]byte, error) {
 
 	// Payload up to the trailer: zeros, or a length-prefixed control
 	// command for in-band control frames.
-	pad := capLen - len(buf) - TagSize
+	pad := capLen - (len(buf) - start) - TagSize
 	if pad < 0 {
-		return nil, fmt.Errorf("packet: frame length %d too small for headers", p.FrameLen)
+		return dst, fmt.Errorf("packet: frame length %d too small for headers", p.FrameLen)
 	}
 	if p.Kind == KindControl {
 		if len(p.Control)+2 > pad {
-			return nil, fmt.Errorf("packet: control payload %d bytes exceeds frame room %d", len(p.Control), pad-2)
+			return dst, fmt.Errorf("packet: control payload %d bytes exceeds frame room %d", len(p.Control), pad-2)
 		}
 		buf = append(buf, byte(len(p.Control)>>8), byte(len(p.Control)))
 		buf = append(buf, p.Control...)
@@ -104,18 +110,28 @@ func (p *Packet) Frame() ([]byte, error) {
 // ParseFrame reconstructs a Packet from captured frame bytes (FCS
 // excluded). Frames without a valid trailer tag parse as noise.
 func ParseFrame(b []byte) (*Packet, error) {
-	eth, rest, err := ParseEthernet(b)
-	if err != nil {
+	p := new(Packet)
+	if err := ParseFrameInto(p, b); err != nil {
 		return nil, err
 	}
+	return p, nil
+}
+
+// ParseFrameInto is ParseFrame into a caller-owned packet: it overwrites
+// all of *p (unspecified on error) and keeps no reference to b.
+func ParseFrameInto(p *Packet, b []byte) error {
+	eth, rest, err := ParseEthernet(b)
+	if err != nil {
+		return err
+	}
 	if eth.EtherType != EtherTypeIPv4 {
-		return nil, fmt.Errorf("packet: unsupported ethertype %#04x", eth.EtherType)
+		return fmt.Errorf("packet: unsupported ethertype %#04x", eth.EtherType)
 	}
 	ip, rest, err := ParseIPv4(rest)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p := &Packet{
+	*p = Packet{
 		FrameLen: len(b) + FCSLen,
 		Flow: FiveTuple{
 			Src:   ip.Src,
@@ -127,17 +143,17 @@ func ParseFrame(b []byte) (*Packet, error) {
 	case ProtoUDP:
 		udp, _, err := ParseUDP(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.Flow.SrcPort, p.Flow.DstPort = udp.SrcPort, udp.DstPort
 	case ProtoTCP:
 		tcp, _, err := ParseTCP(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.Flow.SrcPort, p.Flow.DstPort = tcp.SrcPort, tcp.DstPort
 	default:
-		return nil, errors.New("packet: unsupported transport protocol")
+		return errors.New("packet: unsupported transport protocol")
 	}
 	if tag, ok := ParseTag(b); ok {
 		p.Tag = tag
@@ -145,13 +161,14 @@ func ParseFrame(b []byte) (*Packet, error) {
 		if p.Flow.DstPort == ControlPort {
 			p.Kind = KindControl
 			if ctl, err := controlPayload(rest); err == nil {
-				p.Control = ctl
+				// Copied out (control frames are rare): b is the reader's.
+				p.Control = append([]byte{}, ctl...)
 			}
 		}
 	} else {
 		p.Kind = KindNoise
 	}
-	return p, nil
+	return nil
 }
 
 // controlPayload recovers the length-prefixed command bytes from the

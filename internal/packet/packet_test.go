@@ -1,7 +1,9 @@
 package packet
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -363,5 +365,64 @@ func TestDataFrameOnControlPortStaysControl(t *testing.T) {
 	}
 	if out.Kind != KindControl {
 		t.Fatalf("kind %v", out.Kind)
+	}
+}
+
+// TestAppendFrameMatchesFrame: appending behind existing bytes — also
+// into a dirty, reused buffer — produces exactly Frame()'s bytes and
+// leaves the prefix alone; a packet that cannot be framed returns dst
+// as it was.
+func TestAppendFrameMatchesFrame(t *testing.T) {
+	dirty := bytes.Repeat([]byte{0xAA}, 2048)
+	for _, p := range []*Packet{
+		{Tag: Tag{Replayer: 1, Seq: 7}, Kind: KindData, FrameLen: 1400,
+			Flow: FiveTuple{Src: IPForNode(1), Dst: IPForNode(2), SrcPort: 7000, DstPort: 7001, Proto: ProtoUDP}},
+		{Tag: Tag{Seq: 8}, Kind: KindControl, FrameLen: 128, Control: []byte("cmd"),
+			Flow: FiveTuple{Src: IPForNode(1), Dst: IPForNode(2), DstPort: ControlPort, Proto: ProtoUDP}},
+		{Tag: Tag{Seq: 9}, Kind: KindNoise, FrameLen: 200,
+			Flow: FiveTuple{Src: IPForNode(3), Dst: IPForNode(4), Proto: ProtoTCP}},
+		{Kind: KindInvalid, FrameLen: MinDataFrameLen},
+	} {
+		want, err := p.Frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.AppendFrame(append(dirty[:0], "prefix"...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[:6]) != "prefix" || !bytes.Equal(got[6:], want) {
+			t.Fatalf("%v: AppendFrame into a reused buffer differs from Frame()", p)
+		}
+	}
+	short := &Packet{FrameLen: MinDataFrameLen - 1}
+	if got, err := short.AppendFrame([]byte("keep")); err == nil || string(got) != "keep" {
+		t.Fatalf("unframeable packet: dst %q, err %v", got, err)
+	}
+}
+
+// TestParseFrameIntoOverwrites: a chunk slot is reused memory, so every
+// field of the previous occupant must be gone, and the parsed packet
+// must hold no view of the frame bytes.
+func TestParseFrameIntoOverwrites(t *testing.T) {
+	ctl := &Packet{Tag: Tag{Seq: 8}, Kind: KindControl, FrameLen: 128, Control: []byte("cmd"),
+		Flow: FiveTuple{Src: IPForNode(1), Dst: IPForNode(2), DstPort: ControlPort, Proto: ProtoUDP}}
+	b, err := ctl.Frame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := Packet{Tag: Tag{Replayer: 5, Stream: 6, Seq: 7}, SentAt: 99, Control: []byte("stale"), FrameLen: 1}
+	if err := ParseFrameInto(&slot, b); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ParseFrame(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range b {
+		b[i] = 0xEE // the reader moves on
+	}
+	if !reflect.DeepEqual(&slot, want) || string(slot.Control) != "cmd" {
+		t.Fatalf("slot %+v, want %+v", slot, *want)
 	}
 }

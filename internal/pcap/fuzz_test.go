@@ -5,15 +5,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
+
+	"repro/internal/packet"
 )
 
 // FuzzStream throws arbitrary and mutated byte streams at the record
 // parser that pcap.Stream (and through it, the streaming consistency
 // engine) faces on live, partial or adversarial captures. The invariants:
 // no panic, no unbounded allocation, the batch reader and the incremental
-// reader agree record-for-record, and a truncation error always leaves
-// the already-parsed prefix intact.
+// reader agree record-for-record, a truncation error always leaves the
+// already-parsed prefix intact, no returned packet changes once the
+// reader has moved on (packets own no bytes of the reused read buffer),
+// and the byte accounting never claims more than the input held.
 func FuzzStream(f *testing.F) {
 	// Seed corpus: a healthy capture, a microsecond capture, truncations
 	// at every interesting boundary, and hostile length fields.
@@ -48,6 +53,9 @@ func FuzzStream(f *testing.F) {
 	hostile2 = append(hostile2, rec[:]...)
 	f.Add(hostile2)
 
+	f.Add(healthy[:len(healthy)-frameBytes(f, tr)]) // cut exactly after the final record header
+	f.Add(controlCapture(f, Write, 2))              // a control payload, then enough records to recycle the read buffer
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch, batchErr := Read(bytes.NewReader(data), "fuzz")
 
@@ -60,6 +68,8 @@ func FuzzStream(f *testing.F) {
 		}
 		n := 0
 		var streamErr error
+		var kept []*packet.Packet
+		var asReturned []packet.Packet // value copies, Control deep-copied
 		for {
 			p, ts, err := s.Next()
 			if err != nil {
@@ -71,6 +81,10 @@ func FuzzStream(f *testing.F) {
 			if p == nil {
 				t.Fatal("nil packet without error")
 			}
+			kept = append(kept, p)
+			c := *p
+			c.Control = bytes.Clone(p.Control)
+			asReturned = append(asReturned, c)
 			if batch != nil && n < batch.Len() {
 				if ts != batch.Times[n] || p.Tag != batch.Packets[n].Tag {
 					t.Fatalf("record %d: stream/batch disagree", n)
@@ -80,6 +94,19 @@ func FuzzStream(f *testing.F) {
 			if n > len(data) { // each record consumes ≥16 bytes; this cannot happen
 				t.Fatalf("decoded %d records from %d bytes", n, len(data))
 			}
+		}
+
+		for i, p := range kept {
+			if !reflect.DeepEqual(*p, asReturned[i]) {
+				t.Fatalf("packet %d changed after the stream moved on: %+v, was %+v", i, *p, asReturned[i])
+			}
+		}
+		d := s.Diag()
+		if d.Records != s.Count() || d.Records != n {
+			t.Fatalf("Diag.Records %d, Count() %d, decoded %d", d.Records, s.Count(), n)
+		}
+		if d.Bytes+d.TornBytes > int64(len(data)) {
+			t.Fatalf("Diag claims %d+%d bytes of a %d-byte input", d.Bytes, d.TornBytes, len(data))
 		}
 
 		// Batch and stream must agree on count and error class.

@@ -62,13 +62,14 @@ func Write(w io.Writer, tr *trace.Trace, snapLen int) error {
 		return err
 	}
 
-	var rec [16]byte
+	// One reused buffer holds each record: 16-byte header, then the frame.
+	var rec []byte
 	for i, p := range tr.Packets {
-		frame, err := p.Frame()
-		if err != nil {
+		var err error
+		if rec, err = p.AppendFrame(append(rec[:0], make([]byte, 16)...)); err != nil {
 			return fmt.Errorf("pcap: packet %d: %w", i, err)
 		}
-		origLen := len(frame)
+		origLen := len(rec) - 16
 		inclLen := origLen
 		if inclLen > snapLen {
 			inclLen = snapLen
@@ -78,10 +79,7 @@ func Write(w io.Writer, tr *trace.Trace, snapLen int) error {
 		binary.LittleEndian.PutUint32(rec[4:8], uint32(ts%sim.Second))
 		binary.LittleEndian.PutUint32(rec[8:12], uint32(inclLen))
 		binary.LittleEndian.PutUint32(rec[12:16], uint32(origLen))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(frame[:inclLen]); err != nil {
+		if _, err := bw.Write(rec[:16+inclLen]); err != nil {
 			return err
 		}
 	}

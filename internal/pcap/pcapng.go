@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -83,26 +82,32 @@ func WriteNG(w io.Writer, tr *trace.Trace, snapLen int) error {
 		return err
 	}
 
+	// Reused for every packet block: 8-byte block header, 20-byte EPB
+	// fields, frame, padding, trailing length.
+	var blk []byte
 	for i, p := range tr.Packets {
-		frame, err := p.Frame()
-		if err != nil {
+		var err error
+		if blk, err = p.AppendFrame(append(blk[:0], make([]byte, 28)...)); err != nil {
 			return fmt.Errorf("pcapng: packet %d: %w", i, err)
 		}
-		origLen := len(frame)
+		origLen := len(blk) - 28
 		inclLen := origLen
 		if inclLen > snapLen {
 			inclLen = snapLen
 		}
 		ts := uint64(tr.Times[i])
 		pad := (4 - inclLen%4) % 4
-		body := make([]byte, 20+inclLen+pad)
+		blk = append(blk[:28+inclLen], make([]byte, pad+4)...)
+		total := uint32(len(blk))
+		binary.LittleEndian.PutUint32(blk[0:4], blockEPB)
+		binary.LittleEndian.PutUint32(blk[4:8], total)
 		// interface id 0.
-		binary.LittleEndian.PutUint32(body[4:8], uint32(ts>>32))
-		binary.LittleEndian.PutUint32(body[8:12], uint32(ts))
-		binary.LittleEndian.PutUint32(body[12:16], uint32(inclLen))
-		binary.LittleEndian.PutUint32(body[16:20], uint32(origLen))
-		copy(body[20:], frame[:inclLen])
-		if err := writeBlock(blockEPB, body); err != nil {
+		binary.LittleEndian.PutUint32(blk[12:16], uint32(ts>>32))
+		binary.LittleEndian.PutUint32(blk[16:20], uint32(ts))
+		binary.LittleEndian.PutUint32(blk[20:24], uint32(inclLen))
+		binary.LittleEndian.PutUint32(blk[24:28], uint32(origLen))
+		binary.LittleEndian.PutUint32(blk[len(blk)-4:], total)
+		if _, err := bw.Write(blk); err != nil {
 			return err
 		}
 	}
@@ -125,14 +130,16 @@ func WriteNGFile(path string, tr *trace.Trace, snapLen int) error {
 // ReadNG parses a pcapng stream into a trace. Unknown block types are
 // skipped; per-interface timestamp resolution is honoured.
 func ReadNG(r io.Reader, name string) (*trace.Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	d := decoder{br: bufio.NewReaderSize(r, 1<<16)}
 	tr := trace.New(name, 1024)
 	// Per-interface timestamp scale in ns per unit.
 	var ifScale []sim.Duration
 
+	// readBlock returns a view of the block body, valid until the next
+	// call, and io.EOF only for a stream that ends between blocks.
 	readBlock := func() (uint32, []byte, error) {
-		var hdr [8]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		hdr, err := d.take(8, false)
+		if err != nil {
 			return 0, nil, err
 		}
 		btype := binary.LittleEndian.Uint32(hdr[0:4])
@@ -140,18 +147,17 @@ func ReadNG(r io.Reader, name string) (*trace.Trace, error) {
 		if total < 12 || total > 1<<26 {
 			return 0, nil, fmt.Errorf("pcapng: implausible block length %d", total)
 		}
-		body := make([]byte, total-12)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return 0, nil, fmt.Errorf("pcapng: block body: %w", err)
-		}
-		var tail [4]byte
-		if _, err := io.ReadFull(br, tail[:]); err != nil {
+		rest, err := d.take(int(total-8), true) // body and trailing length
+		if err != nil {
+			if len(rest) < int(total-12) {
+				return 0, nil, fmt.Errorf("pcapng: block body: %w", err)
+			}
 			return 0, nil, fmt.Errorf("pcapng: block trailer: %w", err)
 		}
-		if binary.LittleEndian.Uint32(tail[:]) != total {
+		if binary.LittleEndian.Uint32(rest[total-12:]) != total {
 			return 0, nil, errors.New("pcapng: trailing length mismatch")
 		}
-		return btype, body, nil
+		return btype, rest[:total-12], nil
 	}
 
 	first := true
@@ -223,14 +229,7 @@ func ReadNG(r io.Reader, name string) (*trace.Trace, error) {
 			}
 			scale := ifScale[ifID]
 			ts := sim.Time(uint64(tsHigh)<<32|uint64(tsLow)) * scale
-			raw := body[20 : 20+inclLen]
-			p, err := packet.ParseFrame(raw)
-			if err != nil || inclLen < origLen {
-				p = &packet.Packet{Kind: packet.KindNoise, FrameLen: int(origLen) + packet.FCSLen}
-			} else {
-				p.FrameLen = int(origLen) + packet.FCSLen
-			}
-			tr.Append(p, ts)
+			tr.Append(d.packet(body[20:20+inclLen], origLen), ts)
 		default:
 			// Unknown block: skip (already consumed).
 		}

@@ -180,3 +180,21 @@ func TestReadAnyDispatch(t *testing.T) {
 		t.Fatal("empty accepted")
 	}
 }
+
+// TestNGCutInsideBlockRejected: a pcapng stream is complete only when it
+// ends between blocks. A cut exactly after a block header, or exactly
+// before the trailing length, reads zero bytes at EOF like a clean end
+// does, and must still be refused.
+func TestNGCutInsideBlockRejected(t *testing.T) {
+	raw := encode(t, WriteNG, sampleTrace(3), 0)
+	const block = 8 + 20 + 252 + 4 // one packet block of the sample trace
+	for _, cut := range []int{1, 4, 100, block - 8, block - 3} {
+		if got, err := ReadNG(bytes.NewReader(raw[:len(raw)-cut]), "cut"); err == nil {
+			t.Fatalf("stream cut %d bytes before its end read as complete (%d packets)", cut, got.Len())
+		}
+	}
+	got, err := ReadNG(bytes.NewReader(raw[:len(raw)-block]), "whole")
+	if err != nil || got.Len() != 2 {
+		t.Fatalf("stream ending on a block boundary: %d packets, err %v", got.Len(), err)
+	}
+}

@@ -28,7 +28,7 @@ var ErrLimit = errors.New("pcap: stream exceeds size limit")
 // streaming consistency engine (internal/stream), and the batch Read is
 // built on top of it, so both paths share one record parser.
 type Stream struct {
-	br      *bufio.Reader
+	decoder
 	closer  io.Closer
 	name    string
 	bo      binary.ByteOrder
@@ -78,11 +78,61 @@ func (s *Stream) Diag() Diag {
 func (s *Stream) SetLimit(maxBytes int64) { s.limit = maxBytes }
 
 // maxSnapLen caps the snaplen a foreign header can declare: record
-// validation (and therefore per-record allocation) never trusts more
-// than this, so a corrupt header cannot ask Next to allocate gigabytes.
-// Real tools write snaplens up to a few hundred KiB; 16 MiB is far
-// beyond any of them.
+// validation (and so the decoder's overflow buffer) never trusts more,
+// so a corrupt header cannot ask Next to allocate gigabytes. Real tools
+// write snaplens up to a few hundred KiB; 16 MiB is far beyond them.
 const maxSnapLen = 1 << 24
+
+// packetChunk packets share one allocation (256 × 80 B is the 20 KiB
+// size class), so retaining one decoded packet pins at most that much.
+const packetChunk = 256
+
+// decoder is the allocation-free core both capture readers share:
+// records are parsed where they lie in the read buffer and become
+// packets handed out from chunks, which own no bytes of that buffer.
+type decoder struct {
+	br      *bufio.Reader
+	pending int             // bytes of the last view, discarded by the next take
+	big     []byte          // grown on demand for a record larger than the read buffer
+	free    []packet.Packet // unused tail of the current chunk
+}
+
+// take consumes the next n bytes and returns a view of them, valid until
+// the next take; input that ends first gives the short view and
+// io.ErrUnexpectedEOF. io.EOF, a clean end, takes mid false and no byte read.
+func (d *decoder) take(n int, mid bool) (b []byte, err error) {
+	d.br.Discard(d.pending) // cannot fail: those bytes are buffered
+	d.pending = 0
+	if n > d.br.Size() {
+		if cap(d.big) < n {
+			d.big = make([]byte, n)
+		}
+		n, err = io.ReadFull(d.br, d.big[:n])
+		b = d.big[:n]
+	} else {
+		b, err = d.br.Peek(n)
+		d.pending = len(b)
+	}
+	if err == io.EOF && (mid || len(b) > 0) {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
+}
+
+// packet decodes one captured frame into the next chunk slot; a frame
+// that does not parse, or that the capture truncated, is kept as noise.
+func (d *decoder) packet(frame []byte, origLen uint32) *packet.Packet {
+	if len(d.free) == 0 {
+		d.free = make([]packet.Packet, packetChunk)
+	}
+	p := &d.free[0]
+	d.free = d.free[1:]
+	if err := packet.ParseFrameInto(p, frame); err != nil || uint32(len(frame)) < origLen {
+		*p = packet.Packet{Kind: packet.KindNoise}
+	}
+	p.FrameLen = int(origLen) + packet.FCSLen
+	return p
+}
 
 // NewStream parses the global pcap header from r and returns an iterator
 // over its records. Nanosecond and microsecond captures are accepted in
@@ -125,7 +175,7 @@ func NewStream(r io.Reader, name string) (*Stream, error) {
 	if snap == 0 || snap > maxSnapLen {
 		snap = maxSnapLen
 	}
-	return &Stream{br: br, name: name, bo: bo, tsScale: tsScale, snapLen: snap, bytes: 24}, nil
+	return &Stream{decoder: decoder{br: br}, name: name, bo: bo, tsScale: tsScale, snapLen: snap, bytes: 24}, nil
 }
 
 // OpenStream opens a pcap file for incremental reading. Close the stream
@@ -164,18 +214,20 @@ func (s *Stream) Close() error {
 // Next decodes one record. It returns io.EOF at a clean record boundary
 // and an error wrapping ErrTruncated when the stream ends mid-record.
 // Unparseable or snap-truncated frames are returned as noise packets so
-// counts line up with the capture, exactly like the batch Read.
+// counts line up with the capture, exactly like the batch Read. The
+// packet stays valid for as long as the caller keeps it: it owns no bytes
+// of the read buffer, and pins only its chunk of packetChunk packets.
 func (s *Stream) Next() (*packet.Packet, sim.Time, error) {
 	if s.err != nil {
 		return nil, 0, s.err
 	}
-	var rec [16]byte
-	if n, err := io.ReadFull(s.br, rec[:]); err != nil {
+	rec, err := s.take(16, false)
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			s.err = io.EOF
 		} else if errors.Is(err, io.ErrUnexpectedEOF) {
-			s.tornBytes = int64(n)
-			s.reason = fmt.Sprintf("torn record header (%d of 16 bytes after record %d)", n, s.count)
+			s.tornBytes = int64(len(rec))
+			s.reason = fmt.Sprintf("torn record header (%d of 16 bytes after record %d)", len(rec), s.count)
 			s.err = fmt.Errorf("pcap: record %d header: %w: %w", s.count, ErrTruncated, err)
 		} else {
 			s.reason = err.Error()
@@ -200,11 +252,11 @@ func (s *Stream) Next() (*packet.Packet, sim.Time, error) {
 		s.err = fmt.Errorf("pcap: record %d: %w (%d bytes consumed, limit %d)", s.count, ErrLimit, s.bytes, s.limit)
 		return nil, 0, s.err
 	}
-	buf := make([]byte, inclLen)
-	if n, err := io.ReadFull(s.br, buf); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			s.tornBytes = 16 + int64(n)
-			s.reason = fmt.Sprintf("torn record body (%d of %d bytes in record %d)", n, inclLen, s.count)
+	frame, err := s.take(int(inclLen), true)
+	if err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			s.tornBytes = 16 + int64(len(frame))
+			s.reason = fmt.Sprintf("torn record body (%d of %d bytes in record %d)", len(frame), inclLen, s.count)
 			s.err = fmt.Errorf("pcap: record %d body: %w: %w", s.count, ErrTruncated, err)
 		} else {
 			s.reason = err.Error()
@@ -212,15 +264,7 @@ func (s *Stream) Next() (*packet.Packet, sim.Time, error) {
 		}
 		return nil, 0, s.err
 	}
-	ts := sim.Time(sec)*sim.Second + sim.Time(sub)*s.tsScale
-	p, err := packet.ParseFrame(buf)
-	if err != nil || inclLen < origLen {
-		// Truncated or foreign frame: keep as noise.
-		p = &packet.Packet{Kind: packet.KindNoise, FrameLen: int(origLen) + packet.FCSLen}
-	} else {
-		p.FrameLen = int(origLen) + packet.FCSLen
-	}
 	s.count++
 	s.bytes += 16 + int64(inclLen)
-	return p, ts, nil
+	return s.packet(frame, origLen), sim.Time(sec)*sim.Second + sim.Time(sub)*s.tsScale, nil
 }

@@ -70,6 +70,7 @@ func TestReadKeepsPrefixOnTruncation(t *testing.T) {
 	}{
 		{"mid final body", 10, 9},
 		{"mid final header", bodyLen + 5, 9},
+		{"exactly after final header", bodyLen, 9},
 		{"into penultimate body", 16 + bodyLen + 10, 8},
 		{"exact boundary", 0, 10},
 	}
@@ -83,6 +84,9 @@ func TestReadKeepsPrefixOnTruncation(t *testing.T) {
 			} else {
 				if !errors.Is(err, ErrTruncated) {
 					t.Fatalf("error %v does not wrap ErrTruncated", err)
+				}
+				if errors.Is(err, io.EOF) {
+					t.Fatalf("mid-record cut reads as a clean end: %v", err)
 				}
 				if got == nil {
 					t.Fatal("partial trace not returned alongside the error")
@@ -101,7 +105,7 @@ func TestReadKeepsPrefixOnTruncation(t *testing.T) {
 }
 
 // frameBytes returns the on-disk body length of one sample record.
-func frameBytes(t *testing.T, tr *trace.Trace) int {
+func frameBytes(t testing.TB, tr *trace.Trace) int {
 	t.Helper()
 	f, err := tr.Packets[len(tr.Packets)-1].Frame()
 	if err != nil {

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/packet"
+	"repro/internal/pcap"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/trace"
@@ -296,6 +299,34 @@ func TestNonMonotoneSourceErrors(t *testing.T) {
 	}
 	if sum == nil {
 		t.Fatal("summary not returned alongside the error")
+	}
+}
+
+// TestCutAfterRecordHeaderIsNotCleanEOF: a capture that ends exactly
+// after a record header (3 records of 124 B, cut at 24 + 2·(16+124) + 16)
+// is mid-record. Ingest ends a side quietly only on io.EOF, so the
+// reader must not let that cut read as one: the run reports the
+// truncation alongside the scored prefix.
+func TestCutAfterRecordHeaderIsNotCleanEOF(t *testing.T) {
+	tr := trace.New("cut", 3)
+	for i := 0; i < 3; i++ {
+		tr.Append(&packet.Packet{Tag: packet.Tag{Seq: uint64(i)}, Kind: packet.KindData, FrameLen: 128,
+			Flow: packet.FiveTuple{Src: packet.IPForNode(1), Dst: packet.IPForNode(2), Proto: packet.ProtoUDP}}, sim.Time(i)*100)
+	}
+	var buf bytes.Buffer
+	if err := pcap.Write(&buf, tr, 0); err != nil {
+		t.Fatal(err)
+	}
+	src, err := pcap.NewStream(bytes.NewReader(buf.Bytes()[:24+2*(16+124)+16]), "cut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := Run(src, NewTraceSource(tr), Config{Window: 1_000})
+	if !errors.Is(err, pcap.ErrTruncated) {
+		t.Fatalf("cut capture scored as a clean file: err %v", err)
+	}
+	if sum == nil || sum.PacketsA != 2 || sum.PacketsB != 3 {
+		t.Fatalf("summary %+v, want the 2-packet prefix against 3", sum)
 	}
 }
 

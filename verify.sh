@@ -14,13 +14,15 @@
 # bytes as the spans-on daemon, and the spans-on trace endpoint must
 # yield a tree choirtrace reconstructs the serving critical path from),
 # and the streaming-vs-batch κ benchmark (pkts/s and bytes allocated)
-# with a guard bounding the overhead of enabled telemetry.
+# with a guard bounding the overhead of enabled telemetry. The bench/
+# harness (a module of its own) has its tests run here too.
 #
 #	./verify.sh          # vet + build + tests under -race
 #	                     # + fuzz smoke + fault-replay gate
 #	./verify.sh -bench   # also: BenchmarkStreamKappa + obs guard,
 #	                     # and allocs/op regression guards on
-#	                     # MetricsCompare and StreamKappa
+#	                     # MetricsCompare, psim Handoff, pcap
+#	                     # StreamNext and StreamKappa
 set -eu
 cd "$(dirname "$0")"
 # Captured before the choird gate's `set --` clobbers the script args.
@@ -40,6 +42,9 @@ go test -race ./internal/parallel ./internal/experiments
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== go test -C bench ./... (the benchmark harness is its own module: smoke of all six workloads)"
+go test -C bench ./...
 
 echo "== fuzz smoke (10s per target; seed corpus under testdata/fuzz runs in every plain go test)"
 go test ./internal/pcap -run='^$' -fuzz='^FuzzStream$' -fuzztime=10s
@@ -315,6 +320,21 @@ if [ "$MODE" = "-bench" ]; then
 			if (allocs == "") { print "FAIL: no allocs/op sample for psim Handoff"; exit 1 }
 			printf "BenchmarkHandoff: %d allocs/op (budget 2; steady state is 0)\n", allocs
 			if (allocs + 0 > 2) { print "FAIL: psim handoff path allocates"; exit 1 }
+		}'
+	# BenchmarkStreamNext: capture decode parses records in place in the
+	# read buffer and hands packets out of chunks, so one record is 0
+	# objects (1/256 of a chunk, which rounds to 0); budget 0 — a single
+	# per-record allocation reads as 1.
+	dec_out=$(go test ./internal/pcap -run='^$' -bench='StreamNext$' -benchmem)
+	printf '%s\n' "$dec_out"
+	printf '%s\n' "$dec_out" | awk '
+		/BenchmarkStreamNext/ {
+			for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i-1)
+		}
+		END {
+			if (allocs == "") { print "FAIL: no allocs/op sample for pcap StreamNext"; exit 1 }
+			printf "BenchmarkStreamNext: %d allocs/op (budget 0)\n", allocs
+			if (allocs + 0 > 0) { print "FAIL: capture decode allocates per record"; exit 1 }
 		}'
 	# BenchmarkStreamKappa shards=4: position-buffer and winState reuse
 	# landed ~4.5k allocs/op on the 50k-packet pair; budget 9000 catches
