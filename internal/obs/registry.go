@@ -366,17 +366,36 @@ func formatFloat(v float64) string {
 	}
 }
 
+// families copies every family and each of its series by value under
+// the lock, sorted by name, so exposition can read them while
+// instruments are still being registered: registration appends to a
+// family's series list and CounterFunc/GaugeFunc rewrite a series'
+// callback in place. A series holds only labels, instrument pointers
+// and callbacks, so the copy shares the live instruments.
+func (r *Registry) families() []family {
+	r.mu.Lock()
+	fams := make([]family, len(r.fams))
+	for i, f := range r.fams {
+		fams[i] = *f
+		vals := make([]series, len(f.ser))
+		fams[i].ser = make([]*series, len(f.ser))
+		for j, s := range f.ser {
+			vals[j] = *s
+			fams[i].ser[j] = &vals[j]
+		}
+	}
+	r.mu.Unlock()
+	slices.SortFunc(fams, func(a, b family) int { return strings.Compare(a.name, b.name) })
+	return fams
+}
+
 // WritePrometheus renders the registry in Prometheus text exposition
 // format (families sorted by name, histograms as cumulative le-buckets).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
-	r.mu.Unlock()
-	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+	fams := r.families()
 
 	for _, f := range fams {
 		if f.help != "" {
@@ -453,11 +472,7 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
-	r.mu.Unlock()
-	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+	fams := r.families()
 
 	out := make([]FamilySnapshot, 0, len(fams))
 	for _, f := range fams {
