@@ -11,6 +11,8 @@
 package testbed
 
 import (
+	"fmt"
+
 	"repro/internal/clock"
 	"repro/internal/netsw"
 	"repro/internal/nic"
@@ -29,7 +31,7 @@ type Env struct {
 	RateGbps float64
 	// FrameLen is the generated frame size.
 	FrameLen int
-	// Replayers is the number of parallel Choir middleboxes (1 or 2).
+	// Replayers is the number of parallel Choir middleboxes (N ≥ 1).
 	Replayers int
 
 	// Switch is the fabric profile.
@@ -233,12 +235,23 @@ func LocalDual() Env {
 	return e
 }
 
+// fabricDedicatedDesc and fabricSharedDesc describe the quiet FABRIC
+// environments at the given offered load, so a rate change cannot leave
+// a stale rate in the text.
+func fabricDedicatedDesc(rateGbps float64) string {
+	return fmt.Sprintf("FABRIC VMs, dedicated ConnectX-6, L2Bridge, %g Gbps", rateGbps)
+}
+
+func fabricSharedDesc(rateGbps float64) string {
+	return fmt.Sprintf("FABRIC VMs, shared SR-IOV VFs, L2Bridge, %g Gbps, quiet site", rateGbps)
+}
+
 // FabricDedicated40 is §7 test 1: dedicated smart NICs at 40 Gbps.
 func FabricDedicated40() Env {
 	gap, dur := fabricStalls()
 	return Env{
 		Name:        "FABRIC Dedicated 40 Gbps 1",
-		Description: "FABRIC VMs, dedicated ConnectX-6, L2Bridge, 40 Gbps",
+		Description: fabricDedicatedDesc(40),
 		RateGbps:    40,
 		FrameLen:    1400,
 		Replayers:   1,
@@ -275,7 +288,7 @@ func FabricDedicated40Second() Env {
 func FabricShared40() Env {
 	e := FabricDedicated40()
 	e.Name = "FABRIC Shared 40 Gbps"
-	e.Description = "FABRIC VMs, shared SR-IOV VFs, L2Bridge, 40 Gbps, quiet site"
+	e.Description = fabricSharedDesc(e.RateGbps)
 	e.ReplayerNIC = connectX6Shared()
 	e.ReplayerQueuePkts = 8192
 	return e
@@ -286,6 +299,7 @@ func FabricDedicated80() Env {
 	e := FabricDedicated40()
 	e.Name = "FABRIC Dedicated 80 Gbps"
 	e.RateGbps = 80
+	e.Description = fabricDedicatedDesc(e.RateGbps)
 	e.ReplayerNIC = fabric80G(connectX6Dedicated())
 	return e
 }
@@ -295,6 +309,7 @@ func FabricShared80() Env {
 	e := FabricShared40()
 	e.Name = "FABRIC Shared 80 Gbps"
 	e.RateGbps = 80
+	e.Description = fabricSharedDesc(e.RateGbps)
 	e.ReplayerNIC = fabric80G(connectX6Shared())
 	return e
 }

@@ -2,6 +2,8 @@ package testbed
 
 import (
 	"math"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"repro/internal/control"
@@ -35,6 +37,24 @@ func TestAllEnvironmentsDistinctAndComplete(t *testing.T) {
 		}
 		if e.RecorderTimestamper == nil || e.RecorderTimestamper() == nil {
 			t.Fatalf("%s: no recorder timestamper", e.Name)
+		}
+	}
+}
+
+// TestDescriptionRatesMatchEnv: every "N Gbps" an environment's
+// Description states is its offered load, or its per-replayer share.
+func TestDescriptionRatesMatchEnv(t *testing.T) {
+	rate := regexp.MustCompile(`([0-9.]+) Gbps`)
+	for _, e := range AllEnvironments() {
+		for _, m := range rate.FindAllStringSubmatch(e.Description, -1) {
+			n, err := strconv.ParseFloat(m[1], 64)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", e.Name, m[0], err)
+			}
+			if n != e.RateGbps && n != e.RateGbps/float64(e.Replayers) {
+				t.Errorf("%s: description says %q, env offers %g Gbps over %d replayer(s)",
+					e.Name, m[0], e.RateGbps, e.Replayers)
+			}
 		}
 	}
 }
