@@ -22,13 +22,6 @@
 //     admitted-bytes/s and the process peak RSS after each level (RSS
 //     is a process-lifetime high-water mark, so the levels are
 //     cumulative);
-//   - the federated replay campaign (internal/federation) at 1/2/4/8
-//     ring-coordinated sites over a fixed trial matrix, reporting
-//     trials/s per site count plus the identity check that every
-//     width rendered the byte-identical document and merged κ —
-//     epoch barriers and hierarchical merging are coordination
-//     overhead, so the honest claim is bounded overhead with bit
-//     identity, not speedup;
 //   - the application workload library (internal/workload): each
 //     catalogue app emitting a fixed packet budget through a 10G NIC
 //     queue into a sink, reporting emitted pkts/s of simulated
@@ -64,10 +57,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/experiments"
-	"repro/internal/fault"
-	"repro/internal/federation"
 	"repro/internal/metrics"
 	"repro/internal/nic"
 	"repro/internal/obs"
@@ -140,8 +130,6 @@ type report struct {
 
 	ChoirdService []serviceLine `json:"choird_service"`
 
-	FederationSites []fedLine `json:"federation_sites"`
-
 	WorkloadEmit []workloadEmitLine `json:"workload_emit"`
 
 	DiffDetect diffDetectLine `json:"diffdetect"`
@@ -168,19 +156,6 @@ type diffDetectLine struct {
 	WallMs   float64 `json:"wall_ms"`
 	Detected bool    `json:"detected"`
 	Flagged  int     `json:"flagged_components"`
-}
-
-// fedLine is one federated campaign run at a given site count over the
-// fixed matrix. Identical is the federation's contract: the rendered
-// document and merged κ are byte/bit-identical to the sites=1 run.
-type fedLine struct {
-	Sites        int     `json:"sites"`
-	Trials       int     `json:"trials"`
-	Epochs       int     `json:"epochs"`
-	WallMs       float64 `json:"wall_ms"`
-	TrialsPerSec float64 `json:"trials_per_sec"`
-	Kappa        float64 `json:"kappa"`
-	Identical    bool    `json:"identical_to_single_site"`
 }
 
 // psimLine is one experiment run with the simulated topology
@@ -259,7 +234,6 @@ func main() {
 	out := flag.String("out", "BENCH_PR10.json", "output path")
 	table2Packets := flag.Int("table2-packets", 20_000, "recorded packets per Table 2 environment")
 	psimPackets := flag.Int("psim-packets", 20_000, "recorded packets for the sharded-core sweep")
-	fedPackets := flag.Int("fed-packets", 4000, "recorded packets per trial for the federated-sites sweep")
 	flag.Parse()
 
 	var rep report
@@ -426,57 +400,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "psim handoff %d ns/op %d allocs/op\n", rh.NsPerOp(), rh.AllocsPerOp())
 	if rh.AllocsPerOp() > 2 {
 		fatal(fmt.Errorf("handoff path allocates %d allocs/op; steady state must stay at 0 (budget 2)", rh.AllocsPerOp()))
-	}
-
-	// --- federated replay across site counts ---
-	// The same trial matrix executed by 1/2/4/8 ring-coordinated sites;
-	// the trial pool does the actual parallel work at every width, so
-	// the sweep measures federation overhead (admission, stabilization,
-	// epoch barriers, hierarchical merge) against the single-site run —
-	// with the bit-identity check that makes the overhead worth paying.
-	fedRun := func(sites int) (time.Duration, *federation.Outcome, error) {
-		cfg := federation.Config{
-			Sites: sites, Reps: 4, Packets: *fedPackets, Runs: 2, Seed: 7,
-			Envs: []testbed.Env{testbed.LocalSingle()},
-			Conditions: []campaign.Condition{
-				{Name: "clean"},
-				{Name: "noisy", Plan: fault.Plan{Seed: 9, Drop: 0.02, Reorder: 0.01}},
-			},
-			Pool: parallel.New(runtime.NumCPU()),
-		}
-		start := time.Now()
-		o, err := federation.Run(cfg)
-		return time.Since(start), o, err
-	}
-	if _, _, err := fedRun(1); err != nil { // warm-up
-		fatal(err)
-	}
-	var fedBase *federation.Outcome
-	for _, sites := range []int{1, 2, 4, 8} {
-		wall, o, err := fedRun(sites)
-		if err != nil {
-			fatal(err)
-		}
-		line := fedLine{
-			Sites:        sites,
-			Trials:       o.Trials,
-			Epochs:       o.Epochs,
-			WallMs:       float64(wall.Microseconds()) / 1e3,
-			TrialsPerSec: float64(o.Trials) / wall.Seconds(),
-			Kappa:        o.Merged.Kappa,
-		}
-		if sites == 1 {
-			fedBase = o
-			line.Identical = true
-		} else {
-			line.Identical = o.Doc == fedBase.Doc && o.Merged.Kappa == fedBase.Merged.Kappa
-			if !line.Identical {
-				fatal(fmt.Errorf("federated run sites=%d diverged from single-site", sites))
-			}
-		}
-		rep.FederationSites = append(rep.FederationSites, line)
-		fmt.Fprintf(os.Stderr, "federation sites=%d trials=%d epochs=%d wall=%v %.1f trials/s identical=%v\n",
-			sites, o.Trials, o.Epochs, wall.Round(time.Millisecond), line.TrialsPerSec, line.Identical)
 	}
 
 	// --- application workload emit throughput ---

@@ -28,7 +28,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/federation"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/shaper"
@@ -71,9 +70,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	envNames := fs.String("envs", "", "comma-separated environment subset for the campaign (default: all)")
 	stopAfter := fs.Int("stop-after", 0,
 		"checkpoint the campaign after this many trials journaled by this invocation (deterministic interrupt for tests/gates; 0 = off)")
-	federate := fs.Bool("federate", false,
-		"run the campaign matrix as a federated replay across -sites ring-coordinated sites (see cmd/fedsim for membership-fault injection)")
-	sites := fs.Int("sites", 4, "simulated replay sites for -federate (output is byte-identical across values)")
 	workloadName := fs.String("workload", "",
 		"replace the CBR record-phase traffic with this application model from the workload catalogue (abr, voip, rpc, web, iot)")
 	differentiate := fs.Bool("differentiate", false,
@@ -99,27 +95,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	pool := parallel.New(*workers).WithObs(ocli.Obs().Registry())
 	started := time.Now()
-
-	if *federate {
-		fcfg := federation.Config{
-			Sites: *sites, Reps: *reps, Packets: *packets, Runs: *runs,
-			Seed: *seed, Shards: *simShards, Pool: pool, Obs: ocli.Obs(),
-			Log: stderr,
-		}
-		var err error
-		if fcfg.Envs, err = selectEnvs(*envNames); err != nil {
-			return err
-		}
-		if fcfg.Conditions, err = parseConditions(*conditions); err != nil {
-			return err
-		}
-		out, err := federation.Run(fcfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, out.Doc)
-		return finishObs(stderr, ocli, pool, started)
-	}
 
 	if *camp != "" {
 		ccfg := campaign.Config{

@@ -8,12 +8,49 @@ import (
 	"repro/internal/clock"
 	"repro/internal/experiments"
 	"repro/internal/fabric"
-	"repro/internal/fabric/fabrictest"
 )
 
+// tinyFederation returns the canonical two-site test federation:
+// site A (16 cores, 4 dedicated NICs, PTP) and site B (8 cores, no
+// dedicated NICs, no PTP). Capacity and rollback tests depend on these
+// exact numbers.
+func tinyFederation() *fabric.Federation {
+	return fabric.NewFederation(
+		fabric.SiteSpec{Name: "A", Cores: 16, RAMGiB: 64, DiskGiB: 500, SharedVFs: 4, DedicatedNICs: 4, PTP: true},
+		fabric.SiteSpec{Name: "B", Cores: 8, RAMGiB: 32, DiskGiB: 200, SharedVFs: 2, DedicatedNICs: 0, PTP: false},
+	)
+}
+
+// paperSlice builds the artifact's three-VM topology (generator →
+// replayer → recorder on an L2Bridge) on site A, with every NIC of the
+// given model. The slice is left in draft state.
+func paperSlice(tb testing.TB, f *fabric.Federation, model fabric.NICModel) *fabric.Slice {
+	tb.Helper()
+	s := f.NewSlice("choir")
+	gen, err := s.AddNode("generator", "A", 4, 16, 100)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rep, err := s.AddNode("replayer", "A", 4, 16, 100)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec, err := s.AddNode("recorder", "A", 4, 16, 100)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gi, _ := gen.AddNIC("g0", model)
+	ri, _ := rep.AddNIC("r0", model)
+	ci, _ := rec.AddNIC("c0", model)
+	if _, err := s.AddService("net", fabric.L2Bridge, gi, ri, ci); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func TestSliceLifecycle(t *testing.T) {
-	f := fabrictest.TinyFederation()
-	s := fabrictest.PaperSlice(t, f, fabric.DedicatedConnectX6)
+	f := tinyFederation()
+	s := paperSlice(t, f, fabric.DedicatedConnectX6)
 	if s.State() != fabric.StateDraft {
 		t.Fatalf("state %v", s.State())
 	}
@@ -39,12 +76,12 @@ func TestSliceLifecycle(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	f := fabrictest.TinyFederation()
+	f := tinyFederation()
 	empty := f.NewSlice("empty")
 	if err := empty.Submit(); err == nil {
 		t.Fatal("empty slice accepted")
 	}
-	s := fabrictest.PaperSlice(t, f, fabric.DedicatedConnectX6)
+	s := paperSlice(t, f, fabric.DedicatedConnectX6)
 	if err := s.Submit(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +98,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestCapacityExhaustion(t *testing.T) {
-	f := fabrictest.TinyFederation()
+	f := tinyFederation()
 	// Site A has 4 dedicated NICs; a slice wanting 5 must fail and
 	// leave no residue.
 	s := f.NewSlice("greedy")
@@ -79,7 +116,7 @@ func TestCapacityExhaustion(t *testing.T) {
 }
 
 func TestRollbackAcrossSites(t *testing.T) {
-	f := fabrictest.TinyFederation()
+	f := tinyFederation()
 	s := f.NewSlice("cross")
 	a, _ := s.AddNode("a", "A", 4, 16, 100)
 	a.AddNIC("x", fabric.SharedNIC)
@@ -97,7 +134,7 @@ func TestRollbackAcrossSites(t *testing.T) {
 }
 
 func TestServiceValidation(t *testing.T) {
-	f := fabrictest.TinyFederation()
+	f := tinyFederation()
 	s := f.NewSlice("svc")
 	na, _ := s.AddNode("na", "A", 1, 4, 10)
 	nb, _ := s.AddNode("nb", "B", 1, 4, 10)
@@ -128,7 +165,7 @@ func TestServiceValidation(t *testing.T) {
 }
 
 func TestNodeValidation(t *testing.T) {
-	f := fabrictest.TinyFederation()
+	f := tinyFederation()
 	s := f.NewSlice("v")
 	if _, err := s.AddNode("n", "NOPE", 1, 1, 1); err == nil {
 		t.Fatal("unknown site accepted")
@@ -143,7 +180,7 @@ func TestNodeValidation(t *testing.T) {
 }
 
 func TestLeastUtilizedSite(t *testing.T) {
-	f := fabrictest.TinyFederation()
+	f := tinyFederation()
 	site, err := f.LeastUtilizedSite(true)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +189,7 @@ func TestLeastUtilizedSite(t *testing.T) {
 		t.Fatalf("picked %s", site.Spec().Name)
 	}
 	// Fill A; with PTP not required, B becomes least utilized.
-	s := fabrictest.PaperSlice(t, f, fabric.SharedNIC)
+	s := paperSlice(t, f, fabric.SharedNIC)
 	if err := s.Submit(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +208,8 @@ func TestLeastUtilizedSite(t *testing.T) {
 }
 
 func TestEnvironmentFromSlice(t *testing.T) {
-	f := fabrictest.TinyFederation()
-	s := fabrictest.PaperSlice(t, f, fabric.DedicatedConnectX6)
+	f := tinyFederation()
+	s := paperSlice(t, f, fabric.DedicatedConnectX6)
 	plan := fabric.ExperimentPlan{Generator: "generator", Recorder: "recorder", Replayers: []string{"replayer"}}
 	if _, err := s.Environment(plan); err == nil {
 		t.Fatal("draft slice instantiated")
@@ -197,8 +234,8 @@ func TestEnvironmentFromSlice(t *testing.T) {
 }
 
 func TestEnvironmentSharedAndRate(t *testing.T) {
-	f := fabrictest.TinyFederation()
-	s := fabrictest.PaperSlice(t, f, fabric.SharedNIC)
+	f := tinyFederation()
+	s := paperSlice(t, f, fabric.SharedNIC)
 	if err := s.Submit(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +252,8 @@ func TestEnvironmentSharedAndRate(t *testing.T) {
 }
 
 func TestEnvironmentValidation(t *testing.T) {
-	f := fabrictest.TinyFederation()
-	s := fabrictest.PaperSlice(t, f, fabric.SharedNIC)
+	f := tinyFederation()
+	s := paperSlice(t, f, fabric.SharedNIC)
 	s.Submit()
 	cases := []fabric.ExperimentPlan{
 		{Generator: "nope", Recorder: "recorder", Replayers: []string{"replayer"}},

@@ -12,17 +12,27 @@ import (
 // sumsOf derives Sums from a batch matching — the oracle for the
 // streaming accumulation semantics.
 func sumsOf(a, b *trace.Trace) *Sums {
+	return splitSums(a, b, 1, func(int32) int { return 0 })[0]
+}
+
+// splitSums derives the batch matching's Sums split across k partials:
+// each matched pair goes to partial part(posA), OnlyA to the first and
+// OnlyB to the last partial, and every partial carries both spans. Each
+// pair's positions land in exactly one partial, so the partials'
+// position sets are disjoint.
+func splitSums(a, b *trace.Trace, k int, part func(posA int32) int) []*Sums {
 	m := match(a, b)
-	s := &Sums{
-		Common: m.commonCount(),
-		OnlyA:  m.onlyA,
-		OnlyB:  m.onlyB,
-		SpanA:  a.Span(),
-		SpanB:  b.Span(),
-		PosA:   append([]int32(nil), m.posA...),
-		PosB:   append([]int32(nil), m.posB...),
+	out := make([]*Sums, k)
+	for j := range out {
+		out[j] = &Sums{SpanA: a.Span(), SpanB: b.Span()}
 	}
-	for i := 0; i < s.Common; i++ {
+	out[0].OnlyA = m.onlyA
+	out[k-1].OnlyB = m.onlyB
+	for i := 0; i < m.commonCount(); i++ {
+		s := out[part(m.posA[i])]
+		s.Common++
+		s.PosA = append(s.PosA, m.posA[i])
+		s.PosB = append(s.PosB, m.posB[i])
 		la, lb := m.latencyPair(a, b, i)
 		s.SumAbsLat += absInt64(int64(lb - la))
 		ga, gb := m.gapPair(a, b, i)
@@ -32,7 +42,7 @@ func sumsOf(a, b *trace.Trace) *Sums {
 			s.Within10++
 		}
 	}
-	return s
+	return out
 }
 
 // scrambledTrial builds a trace of n packets with drops, jitter and
@@ -115,27 +125,7 @@ func TestSumsMerge(t *testing.T) {
 	want := whole.Assemble()
 
 	// Split the common pairs across three "shards" arbitrarily and merge.
-	shards := make([]*Sums, 3)
-	for i := range shards {
-		shards[i] = &Sums{SpanA: whole.SpanA, SpanB: whole.SpanB}
-	}
-	m := match(a, b)
-	for i := 0; i < whole.Common; i++ {
-		s := shards[int(m.posA[i])%3]
-		s.Common++
-		s.PosA = append(s.PosA, m.posA[i])
-		s.PosB = append(s.PosB, m.posB[i])
-		la, lb := m.latencyPair(a, b, i)
-		s.SumAbsLat += absInt64(int64(lb - la))
-		ga, gb := m.gapPair(a, b, i)
-		di := int64(gb - ga)
-		s.SumAbsIAT += absInt64(di)
-		if di <= 10 && di >= -10 {
-			s.Within10++
-		}
-	}
-	shards[0].OnlyA = whole.OnlyA
-	shards[1].OnlyB = whole.OnlyB
+	shards := splitSums(a, b, 3, func(posA int32) int { return int(posA) % 3 })
 
 	merged := &Sums{}
 	for _, s := range shards {

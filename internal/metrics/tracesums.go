@@ -2,20 +2,17 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/trace"
 )
 
-// This file is the batch↔federation bridge: TraceSums collapses a whole
-// trace pair into one Sums partial — the same integer partials the
-// streaming engine accumulates per window, but spanning the entire
-// comparison — so a federation of replay sites can merge per-trial
-// partials hierarchically (internal/federation) and assemble a global κ
-// that is bit-identical to a single site folding the same partials
-// sequentially. Exactness rests on the PR-1 partial-sum algebra: every
-// Sums field is either an exact integer sum, a max, or a position
-// multiset whose order Assemble ignores.
+// This file holds the whole-comparison partial: TraceSums collapses a
+// whole trace pair into one Sums partial — the same integer partials
+// the streaming engine accumulates per window, but spanning the entire
+// comparison — that assembles to the same Result as Compare. Exactness
+// rests on the partial-sum algebra: every Sums field is either an exact
+// integer sum, a max, or a position multiset whose order Assemble
+// ignores.
 
 // TraceSums computes the whole-comparison partial sums between trials A
 // and B: the Sums such that TraceSums(a, b).Assemble() reproduces
@@ -60,42 +57,4 @@ func TraceSums(a, b *trace.Trace) (*Sums, error) {
 	out.PosA = append([]int32(nil), m.posA...)
 	out.PosB = append([]int32(nil), m.posB...)
 	return out, nil
-}
-
-// Offset translates the partial's position coordinates by d, mapping a
-// per-comparison position space [0, len) into a disjoint slot of a
-// federation-global space. Shifting both sides by the same constant
-// preserves every pairwise order, so the ordering metric of merged
-// partials equals the ordering metric of the concatenated traces; it
-// errors if any shifted position would overflow the int32 coordinate
-// space (the federation sizes slots up front and rejects campaigns that
-// cannot fit).
-func (s *Sums) Offset(d int64) error {
-	if d < 0 {
-		return fmt.Errorf("metrics: negative position offset %d", d)
-	}
-	for i, p := range s.PosA {
-		v := int64(p) + d
-		if v > math.MaxInt32 {
-			return fmt.Errorf("metrics: position offset %d overflows int32 (posA=%d)", d, p)
-		}
-		s.PosA[i] = int32(v)
-	}
-	for i, p := range s.PosB {
-		v := int64(p) + d
-		if v > math.MaxInt32 {
-			return fmt.Errorf("metrics: position offset %d overflows int32 (posB=%d)", d, p)
-		}
-		s.PosB[i] = int32(v)
-	}
-	return nil
-}
-
-// Clone deep-copies the partial, so custody handoffs between federation
-// sites can move a partial without aliasing the donor's buffers.
-func (s *Sums) Clone() *Sums {
-	c := *s
-	c.PosA = append([]int32(nil), s.PosA...)
-	c.PosB = append([]int32(nil), s.PosB...)
-	return &c
 }

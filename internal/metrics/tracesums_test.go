@@ -1,15 +1,14 @@
 package metrics
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/trace"
 )
 
-// TestTraceSumsAssembleMatchesCompare is the bit-identity anchor for the
-// federation: collapsing a whole trace pair into one partial and
+// TestTraceSumsAssembleMatchesCompare is the bit-identity anchor for
+// TraceSums: collapsing a whole trace pair into one partial and
 // assembling it must reproduce Compare exactly, on randomized trials and
 // on degenerate shapes.
 func TestTraceSumsAssembleMatchesCompare(t *testing.T) {
@@ -58,39 +57,27 @@ func TestTraceSumsDegenerate(t *testing.T) {
 	}
 }
 
-// TestTraceSumsOffsetMergeOrderFree is the federation aggregation
-// theorem: per-trial partials shifted into disjoint position slots merge
-// to the same assembled result regardless of merge order or tree shape —
-// a hierarchical ring reduction is byte-identical to a sequential fold.
-func TestTraceSumsOffsetMergeOrderFree(t *testing.T) {
+// TestTraceSumsMergeOrderFree: partials over disjoint position sets
+// merge to the same assembled result whatever the fold order or tree
+// shape, and that result is the whole pair's TraceSums — a pairwise
+// reduction is byte-identical to a sequential fold.
+func TestTraceSumsMergeOrderFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	const trials = 9
-	parts := make([]*Sums, trials)
-	const stride = int64(1 << 16)
-	for i := range parts {
-		a := scrambledTrial("A", 80+rng.Intn(200), rng)
-		b := scrambledTrial("B", 80+rng.Intn(200), rng)
-		s, err := TraceSums(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Offset(int64(i) * stride); err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = s
+	a := scrambledTrial("A", 900, rng)
+	b := scrambledTrial("B", 900, rng)
+	whole, err := TraceSums(a, b)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := whole.Assemble()
+	const k = 9
+	parts := splitSums(a, b, k, func(int32) int { return rng.Intn(k) })
 
-	// Sequential fold in index order: the single-site reference.
-	seq := &Sums{}
-	for _, p := range parts {
-		seq.Merge(p)
-	}
-	want := seq.Assemble()
-
-	// Pairwise tree reduction (the ring's hierarchical merge).
-	tree := append([]*Sums(nil), parts...)
-	for i := range tree {
-		tree[i] = tree[i].Clone()
+	// Pairwise tree reduction over copies, so parts stay intact.
+	tree := make([]*Sums, k)
+	for i, p := range parts {
+		tree[i] = &Sums{}
+		tree[i].Merge(p)
 	}
 	for len(tree) > 1 {
 		var next []*Sums
@@ -106,38 +93,10 @@ func TestTraceSumsOffsetMergeOrderFree(t *testing.T) {
 
 	// Arbitrary permutations of the fold order.
 	for round := 0; round < 5; round++ {
-		perm := rng.Perm(trials)
 		acc := &Sums{}
-		for _, i := range perm {
+		for _, i := range rng.Perm(k) {
 			acc.Merge(parts[i])
 		}
 		assertResultEqual(t, acc.Assemble(), want)
-	}
-}
-
-func TestSumsOffsetErrors(t *testing.T) {
-	s := &Sums{Common: 1, PosA: []int32{5}, PosB: []int32{7}}
-	if err := s.Offset(-1); err == nil {
-		t.Fatal("negative offset accepted")
-	}
-	if err := s.Offset(math.MaxInt32); err == nil {
-		t.Fatal("overflowing offset accepted")
-	}
-	if err := s.Offset(10); err != nil {
-		t.Fatal(err)
-	}
-	if s.PosA[0] != 15 || s.PosB[0] != 17 {
-		t.Fatalf("offset misapplied: %+v", s)
-	}
-}
-
-func TestSumsCloneIndependent(t *testing.T) {
-	s := &Sums{Common: 2, PosA: []int32{1, 2}, PosB: []int32{3, 4}}
-	c := s.Clone()
-	c.PosA[0] = 99
-	c.PosB[1] = 99
-	c.Common = 7
-	if s.PosA[0] != 1 || s.PosB[1] != 4 || s.Common != 2 {
-		t.Fatalf("Clone aliases donor: %+v", s)
 	}
 }

@@ -4,10 +4,7 @@
 # smoke over the pcap/metrics fuzz targets, a deterministic-replay gate
 # (the same fault seed twice must render a byte-identical κ report), a
 # campaign resume gate (a campaign interrupted twice and resumed must
-# render the uninterrupted table byte-for-byte), a federation gate (a
-# 4-site federated campaign must render the single-site bytes, and a
-# race-enabled site-drop run must degrade deterministically with its
-# losses annotated), a choird service gate
+# render the uninterrupted table byte-for-byte), a choird service gate
 # (a served consistency report must be byte-identical to the offline
 # CLI's, including after a SIGTERM mid-session and journal resume), a
 # span-tracing gate (serving with -spans=false must produce the same
@@ -124,44 +121,6 @@ grep -q "DETECTED" "$replay_tmp/diffneutral.txt" &&
 [ "$(grep -c '^differentiation: none' "$replay_tmp/diffneutral.txt")" = 5 ] ||
 	{ echo "FAIL: neutral control missing verdicts"; cat "$replay_tmp/diffneutral.txt"; exit 1; }
 echo "diffdetect -workload all: throttled verdicts deterministic and shard-invariant ($(wc -c <"$replay_tmp/diff1.txt") bytes), neutral control silent"
-
-echo "== federation gate (federated κ ≡ single-site, byte-for-byte; site drop degrades, never aborts)"
-# The same trial matrix run by 1 site and by a 4-site ring must render
-# identical bytes: site count, trial assignment, and merge-tree shape
-# are invisible in the document (internal/federation's identity).
-go build -o "$replay_tmp/fedsim" ./cmd/fedsim
-fed_run() { # extra fedsim args appended
-	"$replay_tmp/fedsim" -envs "Local Single-Replayer" \
-		-conditions "clean;drop=0.02,jitter=2e3" \
-		-reps 2 -packets 1000 -runs 2 -seed 7 "$@" 2>/dev/null
-}
-fed_run -sites 1 >"$replay_tmp/fed1.txt"
-fed_run -sites 4 >"$replay_tmp/fed4.txt"
-cmp "$replay_tmp/fed1.txt" "$replay_tmp/fed4.txt"
-echo "fedsim: -sites 4 byte-identical to -sites 1 ($(wc -c <"$replay_tmp/fed1.txt") bytes)"
-# The same identity through the experiments CLI's -federate path.
-"$replay_tmp/experiments" -federate -sites 4 -envs "Local Single-Replayer" \
-	-conditions "clean;drop=0.02,jitter=2e3" \
-	-reps 2 -packets 1000 -runs 2 -seed 7 2>/dev/null >"$replay_tmp/fedexp.txt"
-cmp "$replay_tmp/fed1.txt" "$replay_tmp/fedexp.txt"
-echo "experiments -federate: same document as fedsim"
-# Site-drop campaign under the race detector, twice: crashing a site
-# mid-campaign must yield the same annotated degraded table both times
-# (deterministic degradation), with the loss annotation present.
-fed_drop() {
-	go run -race ./cmd/fedsim -envs "Local Single-Replayer" \
-		-conditions "clean;drop=0.02,jitter=2e3" \
-		-reps 4 -packets 1000 -runs 2 -seed 7 \
-		-sites 4 -crash site0@2 2>/dev/null
-}
-fed_drop >"$replay_tmp/feddrop1.txt"
-fed_drop >"$replay_tmp/feddrop2.txt"
-cmp "$replay_tmp/feddrop1.txt" "$replay_tmp/feddrop2.txt"
-grep -q "partials lost to site failure" "$replay_tmp/feddrop1.txt" ||
-	{ echo "FAIL: site-drop run lacks the degradation annotation"; cat "$replay_tmp/feddrop1.txt"; exit 1; }
-grep -q "| lost" "$replay_tmp/feddrop1.txt" ||
-	{ echo "FAIL: site-drop table has no lost rows"; cat "$replay_tmp/feddrop1.txt"; exit 1; }
-echo "fedsim -crash site0@2 under -race: degraded table deterministic, losses annotated"
 
 echo "== choird service gate (served report ≡ offline consistency; SIGTERM drain + journal resume)"
 go build -o "$replay_tmp/choird" ./cmd/choird
